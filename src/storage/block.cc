@@ -71,6 +71,32 @@ uint32_t Block::AppendRows(const std::byte* packed_rows, uint32_t n) {
   return count;
 }
 
+uint32_t Block::TakeTailRows(Block* src) {
+  UOT_DCHECK(src != this && src->schema_ == schema_ &&
+             src->layout_ == layout_);
+  const uint32_t space = capacity_rows_ - num_rows_;
+  const uint32_t count = src->num_rows_ < space ? src->num_rows_ : space;
+  if (count == 0) return 0;
+  const uint32_t from = src->num_rows_ - count;
+  if (layout_ == Layout::kRowStore) {
+    AppendRows(src->data_.get() +
+                   static_cast<size_t>(from) * schema_->row_width(),
+               count);
+  } else {
+    for (int c = 0; c < schema_->num_columns(); ++c) {
+      const uint16_t w = schema_->column(c).type.width();
+      const size_t start = column_starts_[static_cast<size_t>(c)];
+      const size_t src_start = src->column_starts_[static_cast<size_t>(c)];
+      std::memcpy(data_.get() + start + static_cast<size_t>(num_rows_) * w,
+                  src->data_.get() + src_start + static_cast<size_t>(from) * w,
+                  static_cast<size_t>(count) * w);
+    }
+    num_rows_ += count;
+  }
+  src->num_rows_ = from;
+  return count;
+}
+
 void Block::GetRow(uint32_t row, std::byte* out) const {
   UOT_DCHECK(row < num_rows_);
   if (layout_ == Layout::kRowStore) {

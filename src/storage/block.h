@@ -76,6 +76,11 @@ class Block {
   /// returns how many were appended.
   uint32_t AppendRows(const std::byte* packed_rows, uint32_t n);
 
+  /// Moves as many rows as fit from the end of `src` (same schema and
+  /// layout) to the end of this block, removing them from `src`; returns
+  /// how many moved.
+  uint32_t TakeTailRows(Block* src);
+
   /// Strided access to column `col` (valid for rows < num_rows()).
   ColumnAccess Column(int col) const {
     UOT_DCHECK(col >= 0 && col < schema_->num_columns());

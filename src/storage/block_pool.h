@@ -34,6 +34,9 @@ class BlockPool {
 
   /// Removes and returns every pooled block (used when an operator
   /// finishes: its partially filled outputs become ready for transfer).
+  /// Work orders that overlapped each left their own partial block here,
+  /// so the caller (`InsertDestination::Flush`) coalesces them before
+  /// announcing them; block counts then do not depend on the schedule.
   std::vector<Block*> DrainAll();
 
   size_t PooledCount() const;

@@ -1,5 +1,7 @@
 #include "storage/insert_destination.h"
 
+#include <algorithm>
+
 namespace uot {
 
 InsertDestination::InsertDestination(StorageManager* storage, Table* output,
@@ -39,7 +41,22 @@ void InsertDestination::CompleteBlock(Block* block) {
 }
 
 void InsertDestination::Flush() {
-  for (Block* block : pool_.DrainAll()) {
+  // Fullest first: [0, fill) are full, [drain, size) are empty, and rows
+  // move from the tail of the range into its head until at most one
+  // partial block is left.
+  std::vector<Block*> blocks = pool_.DrainAll();
+  std::stable_sort(blocks.begin(), blocks.end(),
+                   [](const Block* a, const Block* b) {
+                     return a->num_rows() > b->num_rows();
+                   });
+  size_t fill = 0;
+  size_t drain = blocks.size();
+  while (fill + 1 < drain) {
+    blocks[fill]->TakeTailRows(blocks[drain - 1]);
+    if (blocks[fill]->Full()) ++fill;
+    if (blocks[drain - 1]->Empty()) --drain;
+  }
+  for (Block* block : blocks) {
     if (block->Empty()) {
       storage_->DropBlock(block);
       continue;

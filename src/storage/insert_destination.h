@@ -18,6 +18,13 @@ namespace uot {
 /// the output table and announced through `on_block_ready` — that signal is
 /// what the scheduler's UoT policy accumulates to decide when data is
 /// transferred to the consumer operator.
+///
+/// Concurrent work orders each hold their own partially filled block, so
+/// how many partial blocks are left at the end depends on how the work
+/// orders overlapped. `Flush()` coalesces them, so a destination that
+/// received R rows completes exactly ceil(R / capacity) blocks. Block
+/// counts, and so the transfer counts of a fixed UoT, depend only on the
+/// plan and the data, never on the schedule or the number of workers.
 class InsertDestination {
  public:
   /// Called with each completed (full or final partial) block. Invoked from
@@ -64,7 +71,10 @@ class InsertDestination {
   /// Announces every pooled partially-filled block as ready; called once
   /// when the producer operator has executed all of its work orders
   /// ("partially filled blocks are scheduled for data transfer at the end
-  /// of the operator's execution").
+  /// of the operator's execution"). The pooled blocks are first coalesced:
+  /// rows move from the least-filled blocks into the fullest ones until at
+  /// most one block is partial, and blocks left empty are dropped. With a
+  /// single pooled block (one writer at a time) nothing is copied.
   void Flush();
 
   /// Number of blocks announced ready so far.

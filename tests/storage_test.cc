@@ -272,7 +272,72 @@ TEST(InsertDestinationTest, ConcurrentWritersProduceAllRows) {
   for (auto& t : threads) t.join();
   dest.Flush();
   EXPECT_EQ(out.NumRows(), static_cast<uint64_t>(kThreads * kRows));
+  // 8 rows per block: the writers' partial blocks are coalesced.
+  EXPECT_EQ(dest.blocks_completed(), (kThreads * kRows + 7u) / 8u);
 }
+
+class InsertDestinationLayoutTest : public ::testing::TestWithParam<Layout> {};
+
+TEST_P(InsertDestinationLayoutTest,
+       FlushCoalescesPartialsOfOverlappingWriters) {
+  // Three writers alive at once each leave their own partial block in the
+  // pool (3, 1 and 3 rows), as concurrent work orders do. Flush must
+  // coalesce them so the block count is ceil(rows / capacity) whatever the
+  // overlap, with every row present and the partition tag kept.
+  StorageManager storage;
+  Table out("out", TestSchema(), GetParam(), 4 * 18, &storage,
+            MemoryCategory::kTemporaryTable);
+  InsertDestination dest(&storage, &out, nullptr);
+  dest.set_partition(2);
+  const Schema& s = out.schema();
+  constexpr int kRowsPerWriter[] = {7, 5, 3};
+  int next_id = 0;
+  {
+    InsertDestination::Writer a(&dest), b(&dest), c(&dest);
+    InsertDestination::Writer* writers[] = {&a, &b, &c};
+    for (int w = 0; w < 3; ++w) {
+      for (int i = 0; i < kRowsPerWriter[w]; ++i, ++next_id) {
+        const auto row = PackRow(s, next_id, next_id * 0.5, "p");
+        writers[w]->AppendRow(row.data());
+      }
+    }
+  }
+  EXPECT_EQ(dest.blocks_completed(), 2u);  // one full block each from a, b
+  dest.Flush();
+
+  constexpr uint64_t kRows = 15, kCapacity = 4;
+  EXPECT_EQ(dest.blocks_completed(), (kRows + kCapacity - 1) / kCapacity);
+  EXPECT_EQ(out.blocks().size(), dest.blocks_completed());
+  EXPECT_EQ(storage.num_blocks(), out.blocks().size());  // emptied: dropped
+  EXPECT_EQ(out.NumRows(), kRows);
+  int partial_blocks = 0;
+  std::vector<int> seen(kRows, 0);
+  for (const Block* block : out.blocks()) {
+    EXPECT_EQ(block->partition(), 2);
+    if (!block->Full()) ++partial_blocks;
+    for (uint32_t r = 0; r < block->num_rows(); ++r) {
+      int32_t id = 0;
+      double val = 0.0;
+      std::memcpy(&id, block->Column(0).at(r), sizeof(id));
+      std::memcpy(&val, block->Column(1).at(r), sizeof(val));
+      ASSERT_GE(id, 0);
+      ASSERT_LT(id, static_cast<int32_t>(kRows));
+      EXPECT_DOUBLE_EQ(val, id * 0.5);
+      ++seen[static_cast<size_t>(id)];
+    }
+  }
+  EXPECT_EQ(partial_blocks, 1);
+  for (uint64_t id = 0; id < kRows; ++id) EXPECT_EQ(seen[id], 1) << id;
+}
+
+INSTANTIATE_TEST_SUITE_P(Layouts, InsertDestinationLayoutTest,
+                         ::testing::Values(Layout::kRowStore,
+                                           Layout::kColumnStore),
+                         [](const auto& info) {
+                           return info.param == Layout::kRowStore
+                                      ? "RowStore"
+                                      : "ColumnStore";
+                         });
 
 }  // namespace
 }  // namespace uot
